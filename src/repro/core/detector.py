@@ -23,7 +23,12 @@ from repro.core.replica import (
     detect_replicas,
     detect_replicas_with_kernel,
 )
-from repro.core.streams import PrefixIndex, ValidationResult, validate_streams
+from repro.core.streams import (
+    PrefixIndex,
+    ValidationResult,
+    candidate_prefix_index,
+    validate_streams,
+)
 
 
 class DetectorError(ValueError):
@@ -116,7 +121,8 @@ class LoopDetector:
     they coexist in one trace file with sim-time control-plane records.
     ``profile`` (default: the shared null profile) accumulates the same
     stages as :class:`~repro.obs.perf.PipelineProfile` spans — plus the
-    per-tier ``step1.kernel.<tier>`` span on the columnar path — for the
+    per-tier ``step1.kernel.<tier>`` span and the ``detect.index`` prefix
+    index build on the columnar path — for the
     ``/perf`` endpoints and benchmark provenance.  Neither changes
     anything about the result: they wrap the exact same calls.
     """
@@ -193,8 +199,9 @@ class LoopDetector:
         Same three steps, same output as :meth:`detect` on the
         materialized equivalent of ``ctrace`` (the equivalence suite
         asserts this stream for stream), but step 1 runs the batched
-        columnar kernel and the prefix index is built straight off the
-        data slabs.  ``result.trace`` is the
+        columnar kernel, and the prefix index is built after it, straight
+        off the data slabs and only for the candidate streams' prefixes
+        (the only ones steps 2 and 3 query).  ``result.trace`` is the
         :class:`~repro.net.columnar.ColumnarTrace` itself, which carries
         the summary surface (record count, duration, bandwidth) the
         reports need.
@@ -216,13 +223,12 @@ class LoopDetector:
             )
             phase.note(records=scan_stats.records_scanned,
                        candidates=len(candidates))
-        needs_index = (config.check_prefix_consistency
-                       or config.check_gap_consistency)
         prefix_index = None
-        if needs_index:
-            prefix_index = PrefixIndex(prefix_length=config.prefix_length)
-            for chunk in ctrace.chunks:
-                prefix_index.add_chunk(chunk)
+        if config.check_prefix_consistency or config.check_gap_consistency:
+            with profile.stage("detect.index"):
+                prefix_index = candidate_prefix_index(
+                    candidates, ctrace.chunks, config.prefix_length
+                )
         empty = Trace()
         with tracer.phase("detect.validate", clock="wall") as phase, \
                 profile.stage("detect.validate"):

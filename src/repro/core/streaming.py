@@ -25,7 +25,9 @@ property the test suite checks on both synthetic and simulated traces.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable
 
 from repro.net.addr import IPv4Address
@@ -909,11 +911,14 @@ class StreamingLoopDetector:
 
     def _window_has_non_member(self, prefix_net: int, start: float,
                                end: float) -> bool:
+        history = self._history.get(prefix_net, ())
         members = self._members.get(prefix_net, ())
-        for timestamp, index in self._history.get(prefix_net, ()):
-            if start <= timestamp <= end and index not in members:
-                return True
-        return False
+        # History is time-ordered with rising indices, so the window is
+        # one contiguous run of it.
+        lo = bisect_left(history, (start, -1))
+        hi = bisect_right(history, (end, float("inf")))
+        return any(index not in members
+                   for _, index in islice(history, lo, hi))
 
     def _merge_stream(self, prefix_net: int, stream: ReplicaStream) -> None:
         loop = self._open_loops.get(prefix_net)
@@ -963,16 +968,18 @@ class StreamingLoopDetector:
         horizon = now - (self.config.merge_gap
                          + self.config.max_replica_gap)
         history = self._history.get(prefix_net)
-        if not history:
+        if not history or history[0][0] >= horizon:
             return
-        kept = [(t, i) for t, i in history if t >= horizon]
-        dropped = {i for t, i in history if t < horizon}
-        if kept:
-            self._history[prefix_net] = kept
-        else:
-            del self._history[prefix_net]
+        # History is time-ordered, so everything before the horizon is
+        # one prefix of the list.
+        cut = bisect_left(history, (horizon, -1))
         members = self._members.get(prefix_net)
         if members:
-            members -= dropped
+            members.difference_update(
+                index for _, index in islice(history, cut))
             if not members:
-                self._members.pop(prefix_net, None)
+                del self._members[prefix_net]
+        if cut < len(history):
+            del history[:cut]
+        else:
+            del self._history[prefix_net]

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from struct import Struct
+from typing import Iterable
 
 from repro.net.addr import IPv4Prefix
 from repro.net.trace import Trace
 from repro.core.replica import ReplicaStream
-
-_DST_STRUCT = Struct(">I")
+from repro.core.vectorize import np
 
 
 @dataclass(slots=True)
@@ -39,18 +38,27 @@ class ValidationResult:
 
 
 class PrefixIndex:
-    """Timestamp index of all trace records, bucketed by destination /24.
+    """Timestamp index of trace records, bucketed by destination prefix.
 
     Supports the validation query "did any packet to prefix P cross the
     link in [t0, t1] that is not a replica-stream member?" in
     O(log n + answer) time.  Shared by validation (step 2) and merging
     (step 3), which runs the same query over gap intervals.
+
+    By default every record is indexed.  Steps 2 and 3 only ever query
+    the prefixes of candidate streams, so the columnar pipeline passes
+    those as ``nets`` (prefix networks shifted right by ``32 -
+    prefix_length``, see :func:`candidate_prefix_index`) and only their
+    records are kept; querying any other prefix then raises
+    ``ValueError`` rather than answering from an empty bucket.
     """
 
     def __init__(self, trace: Trace | None = None,
-                 prefix_length: int = 24) -> None:
+                 prefix_length: int = 24,
+                 nets: Iterable[int] | None = None) -> None:
         self.prefix_length = prefix_length
         self._shift = 32 - prefix_length
+        self._nets = None if nets is None else frozenset(nets)
         # Records arrive time-ordered, so each bucket stays sorted.
         self._by_prefix: dict[int, list[tuple[float, int]]] = {}
         if trace is not None:
@@ -63,43 +71,67 @@ class PrefixIndex:
         without ever materializing a full :class:`Trace`."""
         if len(data) < 20:
             return
-        dst = int.from_bytes(data[16:20], "big")
-        self._by_prefix.setdefault(dst >> self._shift, []).append(
-            (timestamp, index)
-        )
+        net = int.from_bytes(data[16:20], "big") >> self._shift
+        if self._nets is not None and net not in self._nets:
+            return
+        self._by_prefix.setdefault(net, []).append((timestamp, index))
 
     def add_chunk(self, chunk) -> None:
         """Index a :class:`~repro.net.columnar.ColumnarChunk` in one pass.
 
-        Destination addresses are decoded straight off the data slab with
-        ``unpack_from`` — no per-record slice or ``bytes`` copy.  Feeding
-        order across chunks must remain time-ordered, as with
+        With numpy, the destination column is gathered straight off the
+        data slab for every record of at least 20 bytes, filtered to
+        ``nets`` with ``np.isin``, and stable-sorted by prefix, so each
+        prefix's records extend its bucket in one call, in record order.
+        Without numpy, each record goes through :meth:`add_record`.
+        Feeding order across chunks must remain time-ordered, as with
         :meth:`add_record`.
         """
-        buf = chunk.data
-        timestamps = chunk.timestamps
-        offsets = chunk.offsets
-        indices = chunk.indices
-        base_index = chunk.base_index
-        unpack_dst = _DST_STRUCT.unpack_from
-        shift = self._shift
+        if np is None:
+            view = memoryview(chunk.data)
+            for i, length in enumerate(chunk.lengths):
+                offset = chunk.offsets[i]
+                self.add_record(chunk.global_index(i), chunk.timestamps[i],
+                                view[offset:offset + length])
+            return
+        positions = np.flatnonzero(np.asarray(chunk.lengths) >= 20)
+        starts = np.asarray(chunk.offsets)[positions].astype(np.int64) + 16
+        slab = np.frombuffer(chunk.data, dtype=np.uint8)
+        dst = slab[starts[:, None] + np.arange(4)].view(">u4")[:, 0]
+        nets = (dst >> self._shift).astype(np.int64)
+        if self._nets is not None:
+            hits = np.isin(nets, np.fromiter(self._nets, dtype=np.int64,
+                                             count=len(self._nets)))
+            positions = positions[hits]
+            nets = nets[hits]
+        if not len(positions):
+            return
+        order = np.argsort(nets, kind="stable")
+        positions = positions[order]
+        nets = nets[order]
+        timestamps = np.asarray(chunk.timestamps)[positions].tolist()
+        if chunk.indices is not None:
+            indices = np.asarray(chunk.indices)[positions].tolist()
+        else:
+            indices = (positions + chunk.base_index).tolist()
+        bounds = np.flatnonzero(nets[1:] != nets[:-1]) + 1
         by_prefix = self._by_prefix
-        for i, length in enumerate(chunk.lengths):
-            if length < 20:
-                continue
-            (dst,) = unpack_dst(buf, offsets[i] + 16)
-            index = indices[i] if indices is not None else base_index + i
-            bucket = by_prefix.get(dst >> shift)
-            if bucket is None:
-                bucket = by_prefix.setdefault(dst >> shift, [])
-            bucket.append((timestamps[i], index))
+        lo = 0
+        for hi in bounds.tolist() + [len(positions)]:
+            by_prefix.setdefault(int(nets[lo]), []).extend(
+                zip(timestamps[lo:hi], indices[lo:hi])
+            )
+            lo = hi
 
     def _bucket(self, prefix: IPv4Prefix) -> list[tuple[float, int]]:
         if prefix.length != self.prefix_length:
             raise ValueError(
                 f"index is /{self.prefix_length}, got /{prefix.length}"
             )
-        return self._by_prefix.get(prefix.network >> (32 - prefix.length), [])
+        net = prefix.network >> self._shift
+        if self._nets is not None and net not in self._nets:
+            raise ValueError(f"{prefix} is not among the indexed prefixes")
+        return self._by_prefix.get(net, [])
 
     def records_in_window(
         self, prefix: IPv4Prefix, start: float, end: float
@@ -122,6 +154,23 @@ class PrefixIndex:
             index not in members
             for index in self.records_in_window(prefix, start, end)
         )
+
+
+def candidate_prefix_index(candidates: list[ReplicaStream], chunks,
+                           prefix_length: int = 24) -> PrefixIndex:
+    """The :class:`PrefixIndex` steps 2 and 3 need for ``candidates``:
+    the records of ``chunks`` (a trace's columnar chunks, in order) whose
+    destination falls in a candidate stream's prefix, and no others."""
+    shift = 32 - prefix_length
+    index = PrefixIndex(
+        prefix_length=prefix_length,
+        nets={stream.dst_prefix(prefix_length).network >> shift
+              for stream in candidates},
+    )
+    if candidates:
+        for chunk in chunks:
+            index.add_chunk(chunk)
+    return index
 
 
 def validate_streams(

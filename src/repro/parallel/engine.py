@@ -22,7 +22,9 @@
 :meth:`ParallelLoopDetector.detect_file` feeds the partition from the
 bounded-memory :func:`~repro.net.pcap.iter_pcap_chunks` reader, building
 the prefix index incrementally instead of materializing a whole
-:class:`~repro.net.trace.Trace`.
+:class:`~repro.net.trace.Trace`.  The columnar paths instead build the
+index after the shards return, over the candidate streams' prefixes
+only (:func:`~repro.core.streams.candidate_prefix_index`).
 
 Columnar fan-out crosses the process boundary through ONE
 ``multiprocessing.shared_memory`` segment when a pool actually runs:
@@ -54,7 +56,11 @@ from repro.core.replica import (
     stream_sort_key,
 )
 from repro.core.report import format_table
-from repro.core.streams import PrefixIndex, validate_streams
+from repro.core.streams import (
+    PrefixIndex,
+    candidate_prefix_index,
+    validate_streams,
+)
 from repro.obs.metrics import Timer
 from repro.obs.perf import PipelineProfile
 from repro.obs.tracing import NULL_TRACER
@@ -379,20 +385,10 @@ class ParallelLoopDetector:
         started = time.perf_counter()
         with self.profile.stage("parallel.partition") as span:
             partition = ColumnarShardPartition(num_shards=self.shards)
-            needs_index = (self.config.check_prefix_consistency
-                           or self.config.check_gap_consistency)
-            prefix_index = (
-                PrefixIndex(prefix_length=self.config.prefix_length)
-                if needs_index else None
-            )
             for chunk in ctrace.chunks:
                 partition.add_chunk(chunk)
-                if prefix_index is not None:
-                    prefix_index.add_chunk(chunk)
             span.add(records=partition.records_total)
-        return self._finish(
-            partition, prefix_index, ctrace, started, span.seconds
-        )
+        return self._finish(partition, None, ctrace, started, span.seconds)
 
     def detect_file(
         self,
@@ -427,16 +423,8 @@ class ParallelLoopDetector:
                 ingest.add(records=len(ctrace), bytes=ctrace.total_bytes)
             with self.profile.stage("parallel.partition") as span:
                 partition = ColumnarShardPartition(num_shards=self.shards)
-                needs_index = (self.config.check_prefix_consistency
-                               or self.config.check_gap_consistency)
-                prefix_index = (
-                    PrefixIndex(prefix_length=self.config.prefix_length)
-                    if needs_index else None
-                )
                 for chunk in ctrace.chunks:
                     partition.add_chunk(chunk)
-                    if prefix_index is not None:
-                        prefix_index.add_chunk(chunk)
                     if progress is not None:
                         progress(len(chunk))
                 span.add(records=partition.records_total)
@@ -444,7 +432,7 @@ class ParallelLoopDetector:
             # with the row-by-row branch (both measure "time to fan
             # out"); the profile's ingest.columnar stage has the split.
             return self._finish(
-                partition, prefix_index, ctrace, started,
+                partition, None, ctrace, started,
                 ingest.seconds + span.seconds,
             )
         started = time.perf_counter()
@@ -490,6 +478,13 @@ class ParallelLoopDetector:
         started: float,
         partition_seconds: float,
     ) -> ParallelDetectionResult:
+        """Run the shards, then validate and merge their candidates.
+
+        The row-by-row paths pass the ``prefix_index`` they built while
+        partitioning.  For a :class:`ColumnarTrace` the index is built
+        here instead, once the candidates are known, over their prefixes
+        only.
+        """
         detect_started = time.perf_counter()
         with self.profile.stage(
             "parallel.detect", records=partition.records_total
@@ -521,6 +516,13 @@ class ParallelLoopDetector:
             scan_stats.candidate_streams = len(candidates)
 
             config = self.config
+            if isinstance(trace, ColumnarTrace) and (
+                    config.check_prefix_consistency
+                    or config.check_gap_consistency):
+                with self.profile.stage("detect.index"):
+                    prefix_index = candidate_prefix_index(
+                        candidates, trace.chunks, config.prefix_length
+                    )
             validation_trace = trace if isinstance(trace, Trace) else Trace()
             validation = validate_streams(
                 candidates,

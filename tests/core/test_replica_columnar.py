@@ -7,6 +7,7 @@ traces, pcap round trips, and through the full three-step pipeline.
 """
 
 import random
+from array import array
 
 import pytest
 
@@ -18,10 +19,12 @@ from repro.core.replica import (
     detect_replicas_indexed,
 )
 from repro.core.streaming import StreamingLoopDetector
-from repro.core.streams import PrefixIndex
+from repro.core.streams import PrefixIndex, candidate_prefix_index
 from repro.net.addr import IPv4Prefix
 from repro.net.columnar import ColumnarTrace
 from repro.net.pcap import read_pcap, read_pcap_columnar, write_pcap
+from repro.net.trace import Trace, TraceRecord
+from repro.parallel.engine import ParallelLoopDetector
 from repro.traffic.synthetic import SyntheticTraceBuilder
 
 
@@ -191,17 +194,163 @@ class TestStreamingColumnarEquivalence:
             assert a.replica_count == b.replica_count
 
 
+@pytest.fixture(scope="module")
+def index_trace():
+    """Loops whose checks the prefix index decides: non-member traffic
+    inside one loop's lifetime and inside another's merge gap, plus
+    records too short to carry a destination."""
+    builder = SyntheticTraceBuilder(rng=random.Random(11))
+    builder.add_background(300, 0.0, 90.0,
+                           prefixes=[IPv4Prefix.parse("198.51.100.0/24")])
+    looped = IPv4Prefix.parse("192.0.2.0/24")
+    builder.add_loop(5.0, looped, n_packets=3, replicas_per_packet=5,
+                     spacing=0.01, entry_ttl=40)
+    builder.add_loop(30.0, looped, n_packets=2, replicas_per_packet=5,
+                     spacing=0.01, entry_ttl=40)
+    # Non-member packets to the looped /24 in the merge gap (5 s .. 30 s).
+    builder.add_background(4, 12.0, 20.0, prefixes=[looped])
+    conflicted = IPv4Prefix.parse("203.0.113.0/24")
+    builder.add_loop(50.0, conflicted, n_packets=2, replicas_per_packet=6,
+                     spacing=0.02, entry_ttl=50)
+    # Non-member packets to the same /16 as the looped /24 and inside
+    # the conflicted loop's lifetime.
+    builder.add_background(3, 50.0, 50.1, prefixes=[conflicted])
+    builder.add_background(5, 0.0, 60.0,
+                           prefixes=[IPv4Prefix.parse("192.0.7.0/24")])
+    trace = builder.build()
+    short = Trace(link_name=trace.link_name, snaplen=trace.snaplen)
+    for i, record in enumerate(trace.records):
+        short.append(record)
+        if i % 17 == 0:
+            short.append(TraceRecord(timestamp=record.timestamp,
+                                     data=record.data[:12 + i % 8],
+                                     wire_length=record.wire_length))
+    return short
+
+
+def _loop_fingerprint(result):
+    return [(str(loop.prefix), loop.start, loop.end,
+             [sorted(stream.member_indices()) for stream in loop.streams])
+            for loop in result.loops]
+
+
 class TestPrefixIndexChunked:
-    def test_add_chunk_matches_add_record(self, loop_trace):
-        ctrace = ColumnarTrace.from_trace(loop_trace, chunk_records=41)
-        by_record = PrefixIndex(prefix_length=24)
-        for i, record in enumerate(loop_trace.records):
-            by_record.add_record(i, record.timestamp, record.data)
+    @pytest.mark.parametrize("prefix_length", [16, 24, 32])
+    @pytest.mark.parametrize("chunk_records", [1, 41, 65_536])
+    def test_restricted_add_chunk_answers_like_add_record(
+            self, index_trace, prefix_length, chunk_records):
+        oracle = PrefixIndex(index_trace, prefix_length)
+        candidates = detect_replicas(index_trace)
+        ctrace = ColumnarTrace.from_trace(index_trace,
+                                          chunk_records=chunk_records)
+        restricted = candidate_prefix_index(candidates, ctrace.chunks,
+                                            prefix_length)
+        prefixes = {stream.dst_prefix(prefix_length)
+                    for stream in candidates}
+        assert prefixes
+        windows = [(0.0, 120.0), (5.0, 5.05), (12.0, 30.0), (50.0, 50.2)]
+        for prefix in prefixes:
+            net = prefix.network >> (32 - prefix_length)
+            assert (restricted._by_prefix.get(net, [])
+                    == oracle._by_prefix.get(net, []))
+            for start, end in windows:
+                assert (restricted.records_in_window(prefix, start, end)
+                        == oracle.records_in_window(prefix, start, end))
+        assert set(restricted._by_prefix) <= {
+            prefix.network >> (32 - prefix_length) for prefix in prefixes
+        }
+
+    def test_unindexed_prefix_is_refused(self, index_trace):
+        candidates = detect_replicas(index_trace)
+        restricted = candidate_prefix_index(
+            candidates, ColumnarTrace.from_trace(index_trace).chunks
+        )
+        with pytest.raises(ValueError, match="not among"):
+            restricted.records_in_window(
+                IPv4Prefix.parse("198.51.100.0/24"), 0.0, 120.0
+            )
+
+    def test_add_chunk_matches_add_record(self, index_trace):
+        oracle = PrefixIndex(index_trace, 24)
         by_chunk = PrefixIndex(prefix_length=24)
-        for chunk in ctrace.chunks:
+        for chunk in ColumnarTrace.from_trace(index_trace,
+                                              chunk_records=41).chunks:
             by_chunk.add_chunk(chunk)
-        assert by_chunk._by_prefix == by_record._by_prefix
-        for stream in detect_replicas(loop_trace):
-            prefix = stream.dst_prefix(24)
-            assert (by_chunk.records_in_window(prefix, 0.0, 120.0)
-                    == by_record.records_in_window(prefix, 0.0, 120.0))
+        assert by_chunk._by_prefix == oracle._by_prefix
+
+    def test_mapped_pcap_and_shard_indices(self, index_trace, tmp_path):
+        # Chunks over the mmap of a pcap, and chunks that carry explicit
+        # global indices, index exactly like the record-by-record path.
+        path = tmp_path / "index.pcap"
+        write_pcap(index_trace, path)
+        reloaded = read_pcap(path)
+        oracle = PrefixIndex(reloaded, 24)
+        candidates = detect_replicas(reloaded)
+        mapped = candidate_prefix_index(
+            candidates, read_pcap_columnar(path, chunk_records=29).chunks
+        )
+        chunk = ColumnarTrace.from_trace(reloaded).chunks[0]
+        chunk.indices = array("Q", range(len(chunk)))
+        chunk.base_index = 10**6
+        with_indices = candidate_prefix_index(candidates, [chunk])
+        for index in (mapped, with_indices):
+            for net, bucket in index._by_prefix.items():
+                assert bucket == oracle._by_prefix[net]
+            assert set(index._by_prefix) == {
+                stream.dst_prefix(24).network >> 8 for stream in candidates
+            }
+
+    def test_without_numpy_matches(self, index_trace, monkeypatch):
+        import repro.core.streams as streams_mod
+
+        candidates = detect_replicas(index_trace)
+        chunks = ColumnarTrace.from_trace(index_trace,
+                                          chunk_records=41).chunks
+        with_numpy = candidate_prefix_index(candidates, chunks)
+        monkeypatch.setattr(streams_mod, "np", None)
+        without = candidate_prefix_index(candidates, chunks)
+        assert without._by_prefix == with_numpy._by_prefix
+
+
+class TestIndexEquivalence:
+    """Offline columnar and parallel columnar detection build their
+    prefix index over the candidates' prefixes only; every check the
+    index decides must still come out exactly as in ``detect()``."""
+
+    @pytest.mark.parametrize("prefix_length", [16, 24, 32])
+    @pytest.mark.parametrize("check_prefix", [True, False])
+    @pytest.mark.parametrize("check_gap", [True, False])
+    def test_matches_detect(self, index_trace, tmp_path, prefix_length,
+                            check_prefix, check_gap):
+        config = DetectorConfig(prefix_length=prefix_length,
+                                check_prefix_consistency=check_prefix,
+                                check_gap_consistency=check_gap)
+        path = tmp_path / "index.pcap"
+        write_pcap(index_trace, path)
+        reference = LoopDetector(config).detect(read_pcap(path))
+        assert reference.candidate_streams
+        expected = _loop_fingerprint(reference)
+        results = [
+            LoopDetector(config).detect_columnar(
+                read_pcap_columnar(path, chunk_records=37)),
+            ParallelLoopDetector(config, shards=3).detect_columnar(
+                read_pcap_columnar(path)),
+            ParallelLoopDetector(config, shards=2, columnar=True)
+            .detect_file(path, chunk_records=50),
+        ]
+        for result in results:
+            _assert_streams_equal(result.streams, reference.streams)
+            assert _loop_fingerprint(result) == expected
+            assert (result.validation.rejected_prefix_conflict
+                    == reference.validation.rejected_prefix_conflict)
+
+    def test_checks_change_the_outcome(self, index_trace):
+        # Guard for the suite above: the fixture's non-member traffic
+        # really is what the two checks decide on.
+        def loops(**checks):
+            return LoopDetector(DetectorConfig(**checks)).detect(
+                index_trace).loop_count
+
+        assert loops() == 2
+        assert loops(check_gap_consistency=False) == 1
+        assert loops(check_prefix_consistency=False) == 3

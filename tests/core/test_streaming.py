@@ -162,3 +162,51 @@ class TestStreamingBehaviour:
             len(entries) for entries in streaming._history.values()
         )
         assert total_history < 21_000
+
+
+class TestHistoryPruning:
+    """Per-/24 history is time-ordered, so pruning and window queries
+    cut it by bisection; these pin the boundary behaviour."""
+
+    @staticmethod
+    def _detector(history, members):
+        streaming = StreamingLoopDetector(
+            DetectorConfig(merge_gap=60.0, max_replica_gap=5.0)
+        )
+        streaming._history[7] = list(history)
+        streaming._members[7] = set(members)
+        return streaming
+
+    def test_record_at_horizon_is_kept(self):
+        # now=100 → horizon = 100 - (60 + 5) = 35.
+        streaming = self._detector(
+            [(10.0, 0), (34.5, 1), (35.0, 2), (50.0, 3)], {0, 2, 3}
+        )
+        streaming._prune_history(7, 100.0)
+        assert streaming._history[7] == [(35.0, 2), (50.0, 3)]
+        assert streaming._members[7] == {2, 3}
+
+    def test_dropping_every_record_drops_the_prefix(self):
+        streaming = self._detector([(10.0, 0), (20.0, 1)], {1})
+        streaming._prune_history(7, 100.0)
+        assert 7 not in streaming._history
+        assert 7 not in streaming._members
+
+    def test_nothing_to_drop_leaves_state_alone(self):
+        streaming = self._detector([(35.0, 0), (40.0, 1)], {0})
+        bucket = streaming._history[7]
+        streaming._prune_history(7, 100.0)
+        assert streaming._history[7] is bucket
+        assert bucket == [(35.0, 0), (40.0, 1)]
+        assert streaming._members[7] == {0}
+
+    def test_window_bounds_are_inclusive(self):
+        streaming = self._detector(
+            [(1.0, 0), (2.0, 1), (2.0, 2), (3.0, 3), (4.0, 4)], {0, 1, 4}
+        )
+        assert not streaming._window_has_non_member(7, 1.0, 1.5)
+        assert streaming._window_has_non_member(7, 2.0, 2.0)
+        assert streaming._window_has_non_member(7, 2.5, 3.0)
+        assert not streaming._window_has_non_member(7, 3.5, 4.0)
+        assert not streaming._window_has_non_member(7, 5.0, 9.0)
+        assert not streaming._window_has_non_member(8, 0.0, 9.0)

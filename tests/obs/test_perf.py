@@ -4,12 +4,16 @@ sampling profiler, and benchmark provenance / regression gating."""
 from __future__ import annotations
 
 import json
+import random
 import threading
 import time
 
 import pytest
 
 from repro.cli import main
+from repro.core.detector import DetectorConfig, LoopDetector
+from repro.net.addr import IPv4Prefix
+from repro.net.columnar import ColumnarTrace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.perf import (
     NULL_PROFILE,
@@ -22,6 +26,8 @@ from repro.obs.perf import (
     validate_bench,
     write_bench,
 )
+from repro.parallel.engine import ParallelLoopDetector
+from repro.traffic.synthetic import SyntheticTraceBuilder
 
 
 def make_profile(**kwargs) -> PipelineProfile:
@@ -129,6 +135,47 @@ class TestPipelineProfile:
         with profile.stage("a"):
             pass
         assert profile.stage_seconds() == {"a": 0.5}
+
+
+class TestDetectorStages:
+    """The prefix-index build is a profiled stage of its own on both
+    columnar pipelines, so stage sums account for it."""
+
+    @staticmethod
+    def _ctrace():
+        builder = SyntheticTraceBuilder(rng=random.Random(3))
+        builder.add_background(200, 0.0, 30.0)
+        builder.add_loop(5.0, IPv4Prefix.parse("192.0.2.0/24"),
+                         n_packets=2, replicas_per_packet=5, spacing=0.01,
+                         entry_ttl=40)
+        return ColumnarTrace.from_trace(builder.build(), chunk_records=64)
+
+    @staticmethod
+    def _stages(profile):
+        return {stage["name"]: stage for stage in profile.snapshot()["stages"]}
+
+    def test_detect_columnar_profiles_the_index(self):
+        profile = PipelineProfile()
+        result = LoopDetector(profile=profile).detect_columnar(self._ctrace())
+        assert result.loop_count == 1
+        stages = self._stages(profile)
+        assert stages["detect.index"]["count"] == 1
+        assert stages["detect.index"]["parent"] is None
+
+    def test_parallel_columnar_profiles_the_index(self):
+        profile = PipelineProfile()
+        ParallelLoopDetector(shards=2, profile=profile).detect_columnar(
+            self._ctrace())
+        stages = self._stages(profile)
+        assert stages["detect.index"]["count"] == 1
+        assert stages["detect.index"]["parent"] == "parallel.validate_merge"
+
+    def test_no_index_stage_without_checks(self):
+        profile = PipelineProfile()
+        LoopDetector(DetectorConfig(check_prefix_consistency=False,
+                                    check_gap_consistency=False),
+                     profile=profile).detect_columnar(self._ctrace())
+        assert "detect.index" not in self._stages(profile)
 
 
 class TestSamplingProfiler:

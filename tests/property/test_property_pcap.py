@@ -1,15 +1,26 @@
 """Property-based tests for pcap round-trips and pipeline composition."""
 
 import random
+import struct
+import warnings
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import vectorize
 from repro.core.detector import LoopDetector
 from repro.core.streaming import StreamingLoopDetector
 from repro.net.addr import IPv4Prefix
 from repro.net.anonymize import PrefixPreservingAnonymizer
-from repro.net.pcap import read_pcap, write_pcap
+from repro.net.pcap import (
+    PCAP_MAGIC,
+    PCAP_MAGIC_NS,
+    PcapWarning,
+    iter_pcap_columnar,
+    read_pcap,
+    write_pcap,
+)
 from repro.net.trace import Trace, TraceRecord
 from repro.traffic.synthetic import SyntheticTraceBuilder
 
@@ -39,6 +50,104 @@ class TestPcapRoundTripProperty:
             assert reloaded.data == original.data
             assert reloaded.wire_length == original.wire_length
             assert abs(reloaded.timestamp - original.timestamp) < 1e-5
+
+
+@st.composite
+def pcap_files(draw):
+    """Raw pcap bytes plus the chunk size to read them with.
+
+    Caplens are constant, mixed, or change once — at a chunk boundary,
+    one record past it, or anywhere; files may end in a truncated
+    header or body.
+    """
+    chunk_records = draw(st.integers(1, 7))
+    order = draw(st.sampled_from("<>"))
+    nanos = draw(st.booleans())
+    linktype = draw(st.sampled_from([1, 101]))
+    count = draw(st.integers(0, 24))
+    sizes = st.sampled_from([0, 6, 14, 19, 20, 28, 34, 40])
+    first = draw(sizes)
+    shape = draw(st.sampled_from(
+        ["constant", "mixed", "boundary", "past-boundary", "anywhere"]))
+    if shape == "mixed":
+        caplens = [draw(sizes) for _ in range(count)]
+    else:
+        change = {"constant": count,
+                  "boundary": chunk_records,
+                  "past-boundary": chunk_records + 1,
+                  "anywhere": draw(st.integers(0, count))}[shape]
+        second = draw(sizes)
+        caplens = [first if i < change else second for i in range(count)]
+    # read_pcap insists on time order: (seconds, fraction) pairs with
+    # fraction below the divisor, sorted, give non-decreasing times.
+    divisor = 10**9 if nanos else 10**6
+    times = sorted(draw(st.lists(
+        st.tuples(st.integers(0, 2**32 - 1), st.integers(0, divisor - 1)),
+        min_size=count, max_size=count)))
+    out = bytearray(struct.pack(
+        order + "IHHiIII", PCAP_MAGIC_NS if nanos else PCAP_MAGIC,
+        2, 4, 0, 0, 65535, linktype))
+    for caplen, (seconds, fraction) in zip(caplens, times):
+        body = draw(st.binary(min_size=caplen, max_size=caplen))
+        wire = draw(st.one_of(st.just(caplen), st.integers(0, 2**32 - 1)))
+        out += struct.pack(order + "IIII", seconds, fraction, caplen, wire)
+        out += body
+    tail = draw(st.sampled_from(["none", "header", "body"]))
+    if tail == "header":
+        out += bytes(draw(st.integers(1, 15)))
+    elif tail == "body":
+        out += struct.pack(order + "IIII", 1, 2, 40, 40)
+        out += bytes(draw(st.integers(0, 39)))
+    return bytes(out), chunk_records
+
+
+def _read_columnar(path, chunk_records):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        chunks = list(iter_pcap_columnar(path, chunk_records=chunk_records))
+    return chunks, sum(issubclass(w.category, PcapWarning) for w in caught)
+
+
+class TestColumnarReaderProperty:
+    @given(case=pcap_files())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_read_pcap(self, case, tmp_path_factory):
+        """Both columnar decoders (the structured-view one that numpy
+        enables and the per-record one) load exactly what
+        :func:`read_pcap` loads, chunk by chunk."""
+        raw, chunk_records = case
+        path = tmp_path_factory.mktemp("pcap") / "t.pcap"
+        path.write_bytes(raw)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            trace = read_pcap(path)
+        expected_warnings = sum(
+            issubclass(w.category, PcapWarning) for w in caught)
+        runs = [_read_columnar(path, chunk_records)]
+        with mock.patch.object(vectorize, "np", None):
+            runs.append(_read_columnar(path, chunk_records))
+        for chunks, warned in runs:
+            assert warned == expected_warnings
+            assert sum(len(chunk) for chunk in chunks) == len(trace)
+            for number, chunk in enumerate(chunks):
+                assert chunk.base_index == number * chunk_records
+                assert len(chunk) == min(chunk_records,
+                                         len(trace) - chunk.base_index)
+                assert (chunk.timestamps.typecode, chunk.offsets.typecode,
+                        chunk.lengths.typecode,
+                        chunk.wire_lengths.typecode) == ("d", "Q", "I", "I")
+                lengths = list(chunk.lengths)
+                uniform = len(set(lengths)) == 1 and lengths[0] > 0
+                assert (chunk.stride is not None) == uniform
+                for i in range(len(chunk)):
+                    record = trace.records[chunk.global_index(i)]
+                    assert (chunk.timestamps[i].hex()
+                            == record.timestamp.hex())
+                    assert chunk.record_bytes(i) == record.data
+                    assert chunk.wire_lengths[i] == record.wire_length
+                    if uniform:
+                        assert (chunk.offsets[i]
+                                == chunk.offsets[0] + i * chunk.stride)
 
 
 scenario = st.fixed_dictionaries({
