@@ -3,8 +3,7 @@
 Subcommands::
 
     repro-loops detect <trace.pcap>        # run the detector on a pcap
-    repro-loops detect --jobs 4 <trace>    # sharded multi-process detection
-    repro-loops batch [targets...]         # several traces concurrently
+    repro-loops batch [targets...]         # one trace per worker (--jobs N)
     repro-loops simulate <scenario>        # run a Table I scenario
     repro-loops report <scenario>          # scenario + full figure report
     repro-loops monitor <trace.pcap>       # stream + live scrape endpoint
@@ -168,7 +167,7 @@ class _Obs:
 
     def feed_monitor(self, trace=None, loops=()) -> None:
         """Post-hoc monitor feed for commands whose detection path is
-        not incremental (offline / parallel / simulate): replay record
+        not incremental (offline / simulate): replay record
         timestamps and emitted loops into the live monitor, then close
         its final window."""
         if self.monitor is None:
@@ -242,18 +241,12 @@ def _build_parser() -> argparse.ArgumentParser:
     detect = sub.add_parser("detect", parents=[obs],
                             help="detect loops in a pcap trace")
     detect.add_argument("trace", help="pcap file to analyze")
-    detect.add_argument("--columnar", default=True,
-                        action=argparse.BooleanOptionalAction,
-                        help="read via the zero-copy mmap columnar "
-                             "pipeline (default; --no-columnar selects "
-                             "the per-record reference path, identical "
-                             "output)")
-    detect.add_argument("--kernel", default=None, choices=KERNEL_TIERS,
+    detect.add_argument("--kernel", default="auto", choices=KERNEL_TIERS,
                         help="step-1 kernel tier (default: auto — "
-                             "vectorized when numpy is available — "
-                             "under columnar ingest, reference under "
-                             "--no-columnar); an explicit tier also "
-                             "picks the matching ingest path")
+                             "vectorized when numpy is available); "
+                             "reference reads a materialized trace, "
+                             "every other tier the zero-copy mmap "
+                             "columnar pipeline (identical output)")
     detect.add_argument("--profile", default=None, metavar="OUT",
                         help="profile the run with cProfile and write "
                              "pstats data to OUT")
@@ -271,12 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="emit the detection result as JSON")
     detect.add_argument("--streaming", action="store_true",
                         help="use the online (streaming) detector")
-    detect.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for sharded detection "
-                             "(default 1 = offline single-process)")
-    detect.add_argument("--shards", type=int, default=None,
-                        help="shard count for --jobs (default: same as "
-                             "--jobs)")
 
     batch = sub.add_parser(
         "batch", parents=[obs],
@@ -293,14 +280,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="stream merge gap in seconds (default 60)")
     batch.add_argument("--min-stream-size", type=int, default=3,
                        help="minimum replicas per stream (default 3)")
-    batch.add_argument("--columnar", default=True,
-                       action=argparse.BooleanOptionalAction,
-                       help="analyze pcap targets via the zero-copy "
-                            "columnar pipeline (default; scenario "
-                            "targets are unaffected)")
-    batch.add_argument("--kernel", default=None, choices=KERNEL_TIERS,
+    batch.add_argument("--kernel", default="auto", choices=KERNEL_TIERS,
                        help="step-1 kernel tier for pcap targets "
-                            "(default: auto under columnar ingest)")
+                            "(default: auto; reference reads each pcap "
+                            "as a materialized trace; scenario targets "
+                            "are unaffected)")
     batch.add_argument("--profile", default=None, metavar="OUT",
                        help="profile the run with cProfile and write "
                             "pstats data to OUT")
@@ -354,16 +338,13 @@ def _build_parser() -> argparse.ArgumentParser:
                               "ends (with --serve; default 0)")
     monitor.add_argument("--no-dashboard", action="store_true",
                          help="skip the ASCII dashboard on stdout")
-    monitor.add_argument("--kernel", default=None, choices=KERNEL_TIERS,
+    monitor.add_argument("--kernel", default="auto", choices=KERNEL_TIERS,
                          help="step-1 kernel tier recorded in the "
                              "detector config (streaming chains per "
                              "record, so this only switches the ingest "
                              "path: reference reads a materialized "
-                             "trace)")
-    monitor.add_argument("--columnar", default=True,
-                         action=argparse.BooleanOptionalAction,
-                         help="stream from the zero-copy mmap columnar "
-                              "reader (default; identical output)")
+                             "trace, every other tier streams from the "
+                             "zero-copy mmap columnar reader)")
     monitor.set_defaults(force_monitor=True)
 
     fleet = sub.add_parser(
@@ -424,21 +405,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _kernel_from_args(args: argparse.Namespace) -> str:
-    """Resolve the step-1 kernel tier from ``--kernel``/``--columnar``.
-
-    An explicit ``--kernel`` wins and implies its ingest path
-    (``reference`` reads a materialized trace, every other tier reads
-    columnar); without it, the ingest flag picks the matching default —
-    ``auto`` under columnar ingest, ``reference`` under
-    ``--no-columnar``.  The caller applies the implied ingest by
-    re-deriving ``args.columnar`` from the returned tier."""
-    kernel = getattr(args, "kernel", None)
-    if kernel is None:
-        return "auto" if args.columnar else "reference"
-    return kernel
-
-
 def _detector_from_args(args: argparse.Namespace,
                         tracer=NULL_TRACER) -> LoopDetector:
     config = DetectorConfig(
@@ -447,7 +413,7 @@ def _detector_from_args(args: argparse.Namespace,
         prefix_length=args.prefix_length,
         check_prefix_consistency=not args.no_validate,
         check_gap_consistency=not args.no_validate,
-        kernel=_kernel_from_args(args),
+        kernel=args.kernel,
     )
     return LoopDetector(config, tracer=tracer)
 
@@ -570,10 +536,7 @@ def _stream_with_monitor(streaming, trace, monitor):
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    if args.streaming and args.jobs > 1:
-        _logger.error("--streaming and --jobs are mutually exclusive")
-        return 1
-    args.columnar = _kernel_from_args(args) != "reference"
+    columnar = args.kernel != "reference"
     obs = _Obs(args)
     try:
         detector = _detector_from_args(args, tracer=obs.tracer)
@@ -583,14 +546,14 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             streaming = StreamingLoopDetector(detector.config,
                                               tracer=obs.tracer)
             streaming.register_metrics(obs.registry)
-            if args.columnar:
+            if columnar:
                 trace = _read_trace_file_columnar(args.trace, obs)
             else:
                 trace = _read_trace_file(args.trace, obs)
             if obs.monitor is not None:
                 loops = _stream_with_monitor(streaming, trace,
                                              obs.monitor)
-            elif args.columnar:
+            elif columnar:
                 loops = streaming.process_trace_columnar(trace)
             else:
                 loops = streaming.process_trace(trace)
@@ -602,56 +565,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                       f"delta={loop.ttl_delta} "
                       f"replicas={loop.replica_count}")
             return 0
-        if args.jobs > 1:
-            from repro.parallel import ParallelLoopDetector
-
-            engine = ParallelLoopDetector(
-                detector.config, jobs=args.jobs, shards=args.shards,
-                tracer=obs.tracer, columnar=args.columnar,
-            )
-            engine.register_metrics(obs.registry)
-            if args.figures or args.json:
-                # Figure statistics and JSON need the full trace in memory.
-                if args.columnar:
-                    ctrace = _read_trace_file_columnar(
-                        args.trace, obs, link_name=args.trace
-                    )
-                    result = engine.detect_columnar(ctrace)
-                    result.trace = ctrace.to_trace()
-                else:
-                    result = engine.detect(
-                        _read_trace_file(args.trace, obs,
-                                         link_name=args.trace)
-                    )
-            else:
-                heartbeat = obs.heartbeat(f"detect {args.trace}")
-                result = engine.detect_file(args.trace,
-                                            link_name=args.trace,
-                                            progress=heartbeat)
-                if heartbeat is not None:
-                    heartbeat.done()
-            _publish_result_metrics(obs, result)
-            if obs.monitor is not None:
-                obs.monitor.add_state_source("parallel",
-                                             engine.state_snapshot)
-                # detect_file never materializes the trace; feed the
-                # loops (windows then cover looped traffic only).
-                obs.feed_monitor(
-                    result.trace if args.figures or args.json else None,
-                    result.loops,
-                )
-            if args.json:
-                from repro.core.serialize import result_to_json
-
-                print(result_to_json(result, extras=_json_extras(obs)))
-                return 0
-            print(render_summary(result))
-            print()
-            print(result.parallel.render())
-            if args.figures:
-                _print_figures(result)
-            return 0
-        if args.columnar:
+        if columnar:
             trace = _read_trace_file_columnar(args.trace, obs)
             result = detector.detect_columnar(trace)
             if args.figures or args.json:
@@ -694,14 +608,12 @@ def _batch_progress():
 def _cmd_batch(args: argparse.Namespace) -> int:
     from repro.parallel import run_batch
 
-    kernel = _kernel_from_args(args)
-    args.columnar = kernel != "reference"
     obs = _Obs(args)
     try:
         config = DetectorConfig(
             merge_gap=args.merge_gap,
             min_stream_size=args.min_stream_size,
-            kernel=kernel,
+            kernel=args.kernel,
         )
         result = run_batch(
             targets=args.targets or None,
@@ -709,7 +621,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             config=config,
             duration=args.duration,
             progress=_batch_progress() if obs.progress else None,
-            columnar=args.columnar,
         )
         print(result.render())
         return 1 if result.failed else 0
@@ -846,8 +757,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_monitor(args: argparse.Namespace) -> int:
     from repro.core.streaming import StreamingLoopDetector
 
-    kernel = _kernel_from_args(args)
-    args.columnar = kernel != "reference"
     obs = _Obs(args)
     try:
         config = DetectorConfig(
@@ -856,14 +765,14 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             prefix_length=args.prefix_length,
             check_prefix_consistency=not args.no_validate,
             check_gap_consistency=not args.no_validate,
-            kernel=kernel,
+            kernel=args.kernel,
         )
         streaming = StreamingLoopDetector(config, tracer=obs.tracer)
         streaming.register_metrics(obs.registry)
         if obs.server is not None:
             print(f"monitoring endpoints at {obs.server.url}",
                   flush=True)
-        if args.columnar:
+        if args.kernel != "reference":
             trace = read_pcap_columnar(args.trace)
         else:
             trace = _read_trace_file(args.trace, obs)

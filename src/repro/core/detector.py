@@ -52,11 +52,12 @@ class DetectorConfig:
     check_gap_consistency: bool = True
     eviction_interval: int = 100_000
     #: Step-1 kernel tier for columnar inputs (:meth:`LoopDetector.
-    #: detect_columnar` and the parallel slab workers): ``auto``
-    #: resolves to ``vectorized`` when numpy is available, else
-    #: ``columnar``.  All tiers are byte-identical; this knob only
-    #: picks the implementation.  Materialized-trace entry points
-    #: (:meth:`LoopDetector.detect`) always run the reference kernel.
+    #: detect_columnar`): ``auto`` resolves to ``vectorized`` when
+    #: numpy is available, else ``columnar``.  All tiers are
+    #: byte-identical; this knob only picks the implementation.
+    #: Materialized-trace entry points (:meth:`LoopDetector.detect`)
+    #: always run the reference kernel, and the CLI and ``run_batch``
+    #: read a materialized trace exactly when it is ``reference``.
     kernel: str = "auto"
 
     def __post_init__(self) -> None:

@@ -197,10 +197,7 @@ def detect_replicas_indexed(
     The indices are carried through to the resulting streams untouched, so
     a caller may feed a *subset* of a trace's records (with their original
     global indices) and get streams whose ``member_indices`` line up with
-    the full trace.  This is what makes exact sharding possible: all
-    chaining state is keyed by the masked-packet key, so any partition
-    that keeps each key's records together — in time order — produces the
-    same streams as one pass over everything.
+    the full trace.
 
     Eviction runs on the local scan position, not the carried index; it
     only discards state that could never chain again (older than the
@@ -498,10 +495,8 @@ def detect_replicas_columnar(
         buf = chunk.data
         offsets = chunk.offsets
         lengths = chunk.lengths
-        indices = chunk.indices
         stride = chunk.stride
-        index_src = (indices if indices is not None
-                     else range(chunk.base_index, chunk.base_index + n))
+        index_src = range(chunk.base_index, chunk.base_index + n)
         length = lengths[0]
         chunk_start = position + 1
 
@@ -961,8 +956,7 @@ def detect_replicas_vectorized(
             key = infos[ci][2][li]
             ttl = chunk.data[chunk.offsets[li] + _TTL_OFFSET]
         timestamp = chunk.timestamps[li]
-        indices = chunk.indices
-        index = indices[li] if indices is not None else chunk.base_index + li
+        index = chunk.base_index + li
 
         streams = open_streams.get(key)
         if streams is not None:
@@ -1034,8 +1028,8 @@ def detect_replicas_vectorized(
 
 def stream_sort_key(stream: ReplicaStream) -> tuple[float, int]:
     """Total order on streams: start time, ties broken by the first
-    replica's record index (unique across streams).  Shared by the offline
-    and sharded engines so both produce byte-identical candidate lists."""
+    replica's record index (unique across streams).  Shared by every
+    step-1 tier and the merge so all produce byte-identical lists."""
     return (stream.start, stream.replicas[0].index)
 
 

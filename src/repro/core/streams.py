@@ -110,10 +110,7 @@ class PrefixIndex:
         positions = positions[order]
         nets = nets[order]
         timestamps = np.asarray(chunk.timestamps)[positions].tolist()
-        if chunk.indices is not None:
-            indices = np.asarray(chunk.indices)[positions].tolist()
-        else:
-            indices = (positions + chunk.base_index).tolist()
+        indices = (positions + chunk.base_index).tolist()
         bounds = np.flatnonzero(nets[1:] != nets[:-1]) + 1
         by_prefix = self._by_prefix
         lo = 0

@@ -2,13 +2,13 @@
 
 Everything here is optional: the module imports cleanly without numpy
 (``np`` is then ``None`` and ``HAVE_NUMPY`` is ``False``), and every
-caller — the vectorized kernel, the columnar shard partition — falls
-back to its pure-python path when numpy is absent.  Nothing outside
+caller — the vectorized kernel, the streaming pre-pass — falls back
+to its pure-python path when numpy is absent.  Nothing outside
 this module imports numpy directly, so "does the repo work without
 numpy" is checkable by uninstalling it and running the tier-equivalence
 suite (CI does exactly that).
 
-Two primitives live here:
+The central primitive:
 
 * :func:`hash_rows` — a per-row 64-bit hash of a 2-D ``uint8`` array,
   used by the vectorized kernel's duplicate filter.  Each row is padded
@@ -17,10 +17,6 @@ Two primitives live here:
   hash equal — that is the property the filter's correctness rests on;
   collisions merely cost a little pass-2 work (see
   :func:`~repro.core.replica.detect_replicas_vectorized`).
-* :func:`crc32_rows` — table-driven CRC-32 over the rows, bit-identical
-  to :func:`zlib.crc32` per row, vectorized across rows one byte-column
-  at a time.  Used for chunk-level shard assignment, where placement
-  must match the scalar ``crc32(scratch)`` loop exactly.
 """
 
 from __future__ import annotations
@@ -45,8 +41,6 @@ _WEIGHT_SEED = 0x51F15EED
 _WEIGHT_BLOCK = 64
 
 _weights = np.empty(0, dtype=np.uint64) if HAVE_NUMPY else None
-
-_crc_table = None
 
 
 def hash_weights(words: int):
@@ -127,34 +121,3 @@ def dst_prefixes(masked, shift: int):
     ``int.from_bytes(data[16:20], "big") >> shift``."""
     dst = np.ascontiguousarray(masked[:, 16:20]).view(">u4").ravel()
     return (dst.astype(np.uint32) >> np.uint32(shift)).astype(np.int64)
-
-
-def crc32_table():
-    """The reflected CRC-32 (poly 0xEDB88320) byte table as uint32."""
-    global _crc_table
-    if _crc_table is None:
-        table = np.empty(256, dtype=np.uint32)
-        for i in range(256):
-            crc = i
-            for _ in range(8):
-                crc = (crc >> 1) ^ (0xEDB88320 if crc & 1 else 0)
-            table[i] = crc
-        _crc_table = table
-    return _crc_table
-
-
-def crc32_rows(rows):
-    """CRC-32 of each row of a ``(n, length)`` uint8 array.
-
-    Bit-identical to ``zlib.crc32(row)`` (same polynomial, init and
-    final xor), computed for all rows at once, one byte-column per
-    step — n-wide vector operations instead of n Python-level calls.
-    """
-    table = crc32_table()
-    n, length = rows.shape
-    crc = np.full(n, 0xFFFFFFFF, dtype=np.uint32)
-    mask = np.uint32(0xFF)
-    shift = np.uint32(8)
-    for column in range(length):
-        crc = (crc >> shift) ^ table[(crc ^ rows[:, column]) & mask]
-    return crc ^ np.uint32(0xFFFFFFFF)

@@ -8,9 +8,7 @@ packet).  This makes the detector usable on real captures converted with
 Three reading modes:
 
 * :func:`read_pcap` materializes the whole file as a :class:`Trace`;
-* :func:`iter_pcap` / :func:`iter_pcap_chunks` stream records with bounded
-  memory, which is what the sharded parallel engine feeds on for traces
-  too large to hold at once;
+* :func:`iter_pcap` streams records one at a time with bounded memory;
 * :func:`read_pcap_columnar` / :func:`iter_pcap_columnar` map the file
   with ``mmap`` and decode record headers in place — a chunk of
   constant-caplen records through one structured numpy view, any other
@@ -47,8 +45,8 @@ PCAP_MAGIC_SWAPPED = 0xD4C3B2A1
 PCAP_MAGIC_NS = 0xA1B23C4D
 LINKTYPE_RAW = 101
 
-#: Default record count per chunk for :func:`iter_pcap_chunks` — with a
-#: 40-byte snaplen this is a few MiB of buffered data, far below trace size.
+#: Default record count per chunk for :func:`iter_pcap_columnar` — with a
+#: 40-byte snaplen this is a few MiB of mapped data, far below trace size.
 DEFAULT_CHUNK_RECORDS = 65_536
 
 #: A record below this many captured bytes cannot hold an IPv4 header and
@@ -230,32 +228,6 @@ def iter_pcap(path: str | Path) -> Iterator[TraceRecord]:
                 short_counter.inc()
                 continue
             yield record
-
-
-def iter_pcap_chunks(
-    path: str | Path,
-    chunk_records: int = DEFAULT_CHUNK_RECORDS,
-    link_name: str = "",
-) -> Iterator[Trace]:
-    """Stream a pcap file as :class:`Trace` chunks of ``chunk_records``.
-
-    Each chunk carries the file's snaplen and ``link_name``, so chunk
-    consumers (the sharded engine, incremental indexers) see the same
-    metadata :func:`read_pcap` would attach, while peak memory stays
-    bounded by the chunk size rather than the trace length.
-    """
-    if chunk_records < 1:
-        raise PcapError(f"chunk_records must be >= 1: {chunk_records}")
-    with open(path, "rb") as stream:
-        header = _read_global_header(stream)
-        chunk = Trace(link_name=link_name, snaplen=header.snaplen)
-        for record in _iter_records(stream, header, str(path)):
-            chunk.append(record)
-            if len(chunk.records) >= chunk_records:
-                yield chunk
-                chunk = Trace(link_name=link_name, snaplen=header.snaplen)
-        if chunk.records:
-            yield chunk
 
 
 # -- zero-copy columnar reading ----------------------------------------------

@@ -3,8 +3,8 @@
 The paper's contribution is *observing* transient routing loops from the
 data plane; this package makes the reproduction itself observable.  It
 has four pieces, designed to be wired through every subsystem (simulator
-control plane, offline/streaming/parallel detectors, capture monitors,
-CLI) with **zero cost when disabled**:
+control plane, offline/streaming detectors, capture monitors, CLI) with
+**zero cost when disabled**:
 
 * :mod:`repro.obs.metrics` — a process-wide registry of counters,
   gauges, and fixed-bucket histograms with Prometheus-style text

@@ -1,45 +1,17 @@
-"""Sharded, multi-process loop detection.
+"""Many traces at once.
 
-The paper's analysis ran offline over OC-12 traces of up to 2.8 billion
-packets; a single Python process does not keep up with that.  This
-subsystem splits step 1 (replica chaining) across worker processes and
-keeps steps 2–3 (validation, merging) global, producing results identical
-to the offline :class:`~repro.core.detector.LoopDetector`:
-
-* :mod:`repro.parallel.shard` — deterministic masked-key → shard
-  assignment (exact, because all chaining state is keyed by the masked
-  packet bytes);
-* :mod:`repro.parallel.engine` — :class:`ParallelLoopDetector`, the
-  process-pool driver plus the cross-shard merge;
-* :mod:`repro.parallel.batch` — concurrent multi-trace runs (all four
-  Table I scenarios at once).
+One trace is detected by one process: the paper's detector is a single
+time-ordered scan, and splitting it over processes measured slower than
+one process at every width tried (PERFORMANCE.md, "Sharded engine:
+removed").  What does parallelize is whole traces —
+:mod:`repro.parallel.batch` runs each target (a pcap or a Table I
+scenario) in its own worker process and aggregates the per-trace
+counters into one report.
 """
 
 from repro.parallel.batch import BatchItemResult, BatchResult, run_batch
-from repro.parallel.engine import (
-    ParallelDetectionResult,
-    ParallelLoopDetector,
-    ParallelStats,
-    ShardRunStats,
-    TraceSummary,
-)
-from repro.parallel.shard import (
-    ColumnarShardPartition,
-    ShardPartition,
-    assign_shard,
-    shard_key,
-)
 
 __all__ = [
-    "ParallelLoopDetector",
-    "ParallelDetectionResult",
-    "ParallelStats",
-    "ShardRunStats",
-    "TraceSummary",
-    "ShardPartition",
-    "ColumnarShardPartition",
-    "assign_shard",
-    "shard_key",
     "BatchItemResult",
     "BatchResult",
     "run_batch",

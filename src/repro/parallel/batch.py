@@ -4,9 +4,8 @@ The paper analyzed four traces (Table I); an operator analyzes one trace
 per monitored link direction.  :func:`run_batch` fans whole traces out
 over a process pool — each worker simulates (or loads) one trace and
 runs the offline detector on it — and aggregates per-trace results into
-one report.  Trace-level parallelism composes with the sharded engine:
-use ``batch`` when there are many traces, ``--jobs`` when there is one
-big one.
+one report.  Whole traces are the unit of parallelism: one trace is
+always detected by one process.
 
 Targets are scenario names (``backbone1``..``backbone4``) or pcap file
 paths; a path that exists on disk is loaded, anything else must name a
@@ -103,18 +102,19 @@ class BatchResult:
 
 
 def _run_batch_target(
-    spec: tuple[str, str, DetectorConfig, float | None, bool],
+    spec: tuple[str, str, DetectorConfig, float | None],
 ) -> BatchItemResult:
     """Worker entry point: produce one trace and detect loops on it.
 
     Returns compact counters, not the full result — a worker's
     DetectionResult drags the whole trace through pickling, and the batch
-    report only needs Table I/II numbers.  With ``columnar``, pcap
-    targets go through the mmap columnar reader and the batched kernel
-    (identical counters); scenario traces are born in memory, so the
-    flag does not apply to them.
+    report only needs Table I/II numbers.  Pcap targets go through the
+    mmap columnar reader unless ``config.kernel`` is ``reference``,
+    which reads a materialized trace (identical counters); scenario
+    traces are born in memory, so the ingest choice does not apply to
+    them.
     """
-    kind, name, config, duration, columnar = spec
+    kind, name, config, duration = spec
     item = BatchItemResult(name=name, kind=kind)
     started = time.perf_counter()
     try:
@@ -124,7 +124,7 @@ def _run_batch_target(
             overrides = {} if duration is None else {"duration": duration}
             trace = table1_scenario(name, **overrides).run().trace
             result = LoopDetector(config).detect(trace)
-        elif columnar:
+        elif config.kernel != "reference":
             trace = read_pcap_columnar(name, link_name=name)
             result = LoopDetector(config).detect_columnar(trace)
         else:
@@ -165,7 +165,6 @@ def run_batch(
     config: DetectorConfig | None = None,
     duration: float | None = None,
     progress=None,
-    columnar: bool = False,
 ) -> BatchResult:
     """Run detection over several traces concurrently.
 
@@ -173,7 +172,6 @@ def run_batch(
     overrides scenario length (ignored for pcap targets).  ``progress``
     is called as ``progress(item)`` with each finished
     :class:`BatchItemResult`, in target order, as results stream in.
-    ``columnar`` routes pcap targets through the mmap columnar pipeline.
     """
     if jobs < 1:
         raise BatchError(f"jobs must be >= 1: {jobs}")
@@ -183,7 +181,7 @@ def run_batch(
         targets = list(TABLE1_SCENARIOS)
     config = config or DetectorConfig()
     specs = [
-        (*classify_target(target), config, duration, columnar)
+        (*classify_target(target), config, duration)
         for target in targets
     ]
     started = time.perf_counter()

@@ -7,7 +7,6 @@ traces, pcap round trips, and through the full three-step pipeline.
 """
 
 import random
-from array import array
 
 import pytest
 
@@ -24,7 +23,6 @@ from repro.net.addr import IPv4Prefix
 from repro.net.columnar import ColumnarTrace
 from repro.net.pcap import read_pcap, read_pcap_columnar, write_pcap
 from repro.net.trace import Trace, TraceRecord
-from repro.parallel.engine import ParallelLoopDetector
 from repro.traffic.synthetic import SyntheticTraceBuilder
 
 
@@ -146,8 +144,7 @@ class TestColumnarKernelEquivalence:
 
     def test_sharded_subset_carries_global_indices(self, loop_trace):
         # Feeding only a subset (with original indices) must produce
-        # streams whose member indices line up with the full trace — the
-        # property the parallel engine depends on.
+        # streams whose member indices line up with the full trace.
         reference = detect_replicas(loop_trace)
         keep = {i for stream in reference for i in stream.member_indices()}
         subset = [(i, r.timestamp, r.data)
@@ -278,9 +275,9 @@ class TestPrefixIndexChunked:
             by_chunk.add_chunk(chunk)
         assert by_chunk._by_prefix == oracle._by_prefix
 
-    def test_mapped_pcap_and_shard_indices(self, index_trace, tmp_path):
-        # Chunks over the mmap of a pcap, and chunks that carry explicit
-        # global indices, index exactly like the record-by-record path.
+    def test_mapped_pcap_matches_add_record(self, index_trace, tmp_path):
+        # Chunks over the mmap of a pcap index exactly like the
+        # record-by-record path.
         path = tmp_path / "index.pcap"
         write_pcap(index_trace, path)
         reloaded = read_pcap(path)
@@ -289,16 +286,11 @@ class TestPrefixIndexChunked:
         mapped = candidate_prefix_index(
             candidates, read_pcap_columnar(path, chunk_records=29).chunks
         )
-        chunk = ColumnarTrace.from_trace(reloaded).chunks[0]
-        chunk.indices = array("Q", range(len(chunk)))
-        chunk.base_index = 10**6
-        with_indices = candidate_prefix_index(candidates, [chunk])
-        for index in (mapped, with_indices):
-            for net, bucket in index._by_prefix.items():
-                assert bucket == oracle._by_prefix[net]
-            assert set(index._by_prefix) == {
-                stream.dst_prefix(24).network >> 8 for stream in candidates
-            }
+        for net, bucket in mapped._by_prefix.items():
+            assert bucket == oracle._by_prefix[net]
+        assert set(mapped._by_prefix) == {
+            stream.dst_prefix(24).network >> 8 for stream in candidates
+        }
 
     def test_without_numpy_matches(self, index_trace, monkeypatch):
         import repro.core.streams as streams_mod
@@ -313,9 +305,9 @@ class TestPrefixIndexChunked:
 
 
 class TestIndexEquivalence:
-    """Offline columnar and parallel columnar detection build their
-    prefix index over the candidates' prefixes only; every check the
-    index decides must still come out exactly as in ``detect()``."""
+    """Offline columnar detection builds its prefix index over the
+    candidates' prefixes only; every check the index decides must still
+    come out exactly as in ``detect()``."""
 
     @pytest.mark.parametrize("prefix_length", [16, 24, 32])
     @pytest.mark.parametrize("check_prefix", [True, False])
@@ -330,19 +322,12 @@ class TestIndexEquivalence:
         reference = LoopDetector(config).detect(read_pcap(path))
         assert reference.candidate_streams
         expected = _loop_fingerprint(reference)
-        results = [
-            LoopDetector(config).detect_columnar(
-                read_pcap_columnar(path, chunk_records=37)),
-            ParallelLoopDetector(config, shards=3).detect_columnar(
-                read_pcap_columnar(path)),
-            ParallelLoopDetector(config, shards=2, columnar=True)
-            .detect_file(path, chunk_records=50),
-        ]
-        for result in results:
-            _assert_streams_equal(result.streams, reference.streams)
-            assert _loop_fingerprint(result) == expected
-            assert (result.validation.rejected_prefix_conflict
-                    == reference.validation.rejected_prefix_conflict)
+        result = LoopDetector(config).detect_columnar(
+            read_pcap_columnar(path, chunk_records=37))
+        _assert_streams_equal(result.streams, reference.streams)
+        assert _loop_fingerprint(result) == expected
+        assert (result.validation.rejected_prefix_conflict
+                == reference.validation.rejected_prefix_conflict)
 
     def test_checks_change_the_outcome(self, index_trace):
         # Guard for the suite above: the fixture's non-member traffic

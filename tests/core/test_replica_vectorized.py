@@ -2,9 +2,8 @@
 
 Three contracts:
 
-* the vectorize primitives match their scalar oracles exactly
-  (``crc32_rows`` vs ``zlib.crc32``; the hash weight table is
-  prefix-stable as it grows);
+* the vectorize primitives match their scalar oracles exactly (the
+  hash weight table is prefix-stable as it grows);
 * ``detect_replicas_vectorized`` returns byte-identical streams AND
   scan stats to the reference and pure-python columnar kernels on
   every layout — regular, padded strides, irregular, mixed, heavy
@@ -15,7 +14,6 @@ Three contracts:
 """
 
 import random
-import zlib
 from array import array
 
 import pytest
@@ -112,13 +110,6 @@ def _assert_tiers_identical(chunks, **kwargs):
 
 
 class TestVectorizePrimitives:
-    def test_crc32_rows_matches_zlib(self):
-        rng = np.random.default_rng(1)
-        for length in (1, 7, 20, 40, 64):
-            rows = rng.integers(0, 256, (50, length), dtype=np.uint8)
-            expected = [zlib.crc32(row.tobytes()) for row in rows]
-            assert vectorize.crc32_rows(rows).tolist() == expected
-
     def test_hash_weights_prefix_stable(self):
         short = vectorize.hash_weights(5).copy()
         long = vectorize.hash_weights(vectorize._WEIGHT_BLOCK * 2 + 3)

@@ -109,38 +109,6 @@ class TestAnonymizeCommand:
         assert "error" in capsys.readouterr().err
 
 
-class TestParallelDetect:
-    def test_detect_jobs_matches_offline_summary(self, pcap_with_loop,
-                                                 capsys):
-        code = main(["detect", str(pcap_with_loop)])
-        assert code == 0
-        offline_out = capsys.readouterr().out
-        code = main(["detect", str(pcap_with_loop), "--jobs", "2"])
-        assert code == 0
-        parallel_out = capsys.readouterr().out
-        for line in ("candidate streams:", "validated streams:",
-                     "routing loops:", "looped packets:", "looped records:"):
-            offline_line = next(l for l in offline_out.splitlines()
-                                if l.startswith(line))
-            assert offline_line in parallel_out
-        assert "parallel: 2 worker(s)" in parallel_out
-        assert "shard skew" in parallel_out
-
-    def test_detect_jobs_with_figures(self, pcap_with_loop, capsys):
-        code = main(["detect", str(pcap_with_loop), "--jobs", "2",
-                     "--figures"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Figure 2" in out
-        assert "parallel: 2 worker(s)" in out
-
-    def test_streaming_and_jobs_conflict(self, pcap_with_loop, capsys):
-        code = main(["detect", str(pcap_with_loop), "--streaming",
-                     "--jobs", "2"])
-        assert code == 1
-        assert "mutually exclusive" in capsys.readouterr().err
-
-
 class TestBatchCommand:
     def test_batch_over_pcaps(self, pcap_with_loop, capsys):
         code = main(["batch", str(pcap_with_loop), str(pcap_with_loop),

@@ -1,8 +1,12 @@
-"""CLI-level parity: --columnar and --no-columnar print the same thing.
+"""CLI-level parity: columnar ingest and --kernel reference print the
+same thing.
 
-The flag selects an execution path, never an answer — every command and
-output mode must produce byte-identical stdout either way.  Plus the
---profile satellite: a pstats-loadable profile lands where asked.
+The default reads pcaps through the zero-copy columnar pipeline;
+``--kernel reference`` reads a materialized trace and runs the
+per-record oracle.  The choice selects an execution path, never an
+answer — every command and output mode must produce byte-identical
+stdout either way.  Plus --profile: a pstats-loadable profile lands
+where asked.
 """
 
 import pstats
@@ -37,11 +41,9 @@ def _run(capsys, argv):
 
 class TestColumnarFlagParity:
     def _both(self, capsys, argv_tail):
-        base = ["detect", *argv_tail]
-        columnar = _run(capsys, [*base[:1], base[1],
-                                 "--columnar", *base[2:]])
-        reference = _run(capsys, [*base[:1], base[1],
-                                  "--no-columnar", *base[2:]])
+        columnar = _run(capsys, ["detect", *argv_tail])
+        reference = _run(capsys, ["detect", *argv_tail,
+                                  "--kernel", "reference"])
         assert columnar == reference
         return columnar
 
@@ -67,25 +69,11 @@ class TestColumnarFlagParity:
                                   "--min-stream-size", "9"])
         assert "validated streams: 0" in out
 
-    def test_detect_parallel_identical(self, loop_pcap, capsys):
-        columnar = _run(capsys, ["detect", str(loop_pcap), "--jobs", "2",
-                                 "--columnar"])
-        reference = _run(capsys, ["detect", str(loop_pcap), "--jobs", "2",
-                                  "--no-columnar"])
-        # The instrumentation block reports fan-out payload sizes, which
-        # legitimately differ between the two paths; everything above it
-        # (the detection summary) must match.
-        def summary(text):
-            return text.split("parallel:")[0]
-
-        assert summary(columnar) == summary(reference)
-        assert "fan-out payload:" in columnar
-
     def test_monitor_identical(self, loop_pcap, capsys):
         columnar = _run(capsys, ["monitor", str(loop_pcap),
-                                 "--no-dashboard", "--columnar"])
+                                 "--no-dashboard"])
         reference = _run(capsys, ["monitor", str(loop_pcap),
-                                  "--no-dashboard", "--no-columnar"])
+                                  "--no-dashboard", "--kernel", "reference"])
         assert columnar == reference
 
 
@@ -117,9 +105,9 @@ class TestBatchColumnarParity:
     def test_batch_pcap_identical(self, loop_pcap, capsys):
         import re
 
-        columnar = _run(capsys, ["batch", str(loop_pcap), "--columnar"])
+        columnar = _run(capsys, ["batch", str(loop_pcap)])
         reference = _run(capsys, ["batch", str(loop_pcap),
-                                  "--no-columnar"])
+                                  "--kernel", "reference"])
 
         # Wall-clock columns (2-decimal seconds) legitimately vary
         # between runs; every detection number must match.

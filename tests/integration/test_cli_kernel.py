@@ -1,9 +1,8 @@
 """CLI-level kernel-tier parity: --kernel never changes the answer.
 
-Every tier (and the parallel engine on top of the shared-memory
-fan-out) must print byte-identical JSON — the tier picks an
-implementation, not a result.  Plus flag semantics: an explicit
---kernel overrides the --columnar ingest default.
+Every tier must print byte-identical JSON — the tier picks an
+implementation, not a result.  Plus flag semantics: --kernel is the one
+switch for both the step-1 tier and the ingest path.
 """
 
 import random
@@ -46,27 +45,6 @@ class TestKernelParity:
         assert len(set(outputs.values())) == 1
         assert '"loops"' in outputs["auto"]
 
-    def test_json_identical_with_parallel_shm_fanout(self, loop_pcap,
-                                                     capsys):
-        import json
-
-        single = json.loads(_run(capsys, ["detect", str(loop_pcap),
-                                          "--json",
-                                          "--kernel", "reference"]))
-        parallel = json.loads(_run(capsys, ["detect", str(loop_pcap),
-                                            "--json",
-                                            "--kernel", "vectorized",
-                                            "--jobs", "2"]))
-        # The parallel run adds wall-clock gauges and stamps the link
-        # name; every detection key must match byte for byte.
-        for key in single:
-            if key in ("metrics", "trace"):
-                continue
-            assert parallel[key] == single[key], key
-        single["trace"].pop("link")
-        parallel["trace"].pop("link")
-        assert parallel["trace"] == single["trace"]
-
     def test_summary_identical_across_tiers(self, loop_pcap, capsys):
         outputs = {
             tier: _run(capsys, ["detect", str(loop_pcap),
@@ -76,15 +54,15 @@ class TestKernelParity:
         assert len(set(outputs.values())) == 1
         assert "routing loops: 1" in outputs["reference"]
 
-    def test_kernel_overrides_columnar_flag(self, loop_pcap, capsys):
-        # --no-columnar alone means the reference path; an explicit
-        # --kernel wins over it and still prints the same answer.
-        reference = _run(capsys, ["detect", str(loop_pcap), "--json",
-                                  "--no-columnar"])
-        overridden = _run(capsys, ["detect", str(loop_pcap), "--json",
-                                   "--no-columnar",
-                                   "--kernel", "vectorized"])
-        assert overridden == reference
+    def test_removed_ingest_flags_are_rejected(self, loop_pcap, capsys):
+        # One trace is detected by one process, and --kernel alone
+        # picks the ingest path: the old switches are argparse errors.
+        for flags in (["--no-columnar"], ["--columnar"], ["--jobs", "2"],
+                      ["--shards", "2"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["detect", str(loop_pcap), *flags])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_rejects_unknown_tier(self, loop_pcap, capsys):
         with pytest.raises(SystemExit):

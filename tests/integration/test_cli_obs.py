@@ -60,15 +60,6 @@ class TestMetricsOut:
         assert parsed["counters"]["streaming_records_total"] == 110
         assert parsed["counters"]["streaming_loops_emitted_total"] == 1
 
-    def test_parallel_metrics(self, pcap_with_loop, tmp_path, capsys):
-        out = tmp_path / "metrics.prom"
-        code = main(["detect", str(pcap_with_loop), "--jobs", "2",
-                     "--metrics-out", str(out)])
-        assert code == 0
-        parsed = parse_prometheus(out.read_text())
-        assert parsed["counters"]["parallel_records_total"] == 110
-        assert parsed["gauges"]["parallel_jobs"] == 2
-
 
 class TestDetectJson:
     def test_json_includes_metrics_section(self, pcap_with_loop, capsys):

@@ -62,12 +62,6 @@ class TestColumnarChunk:
         assert bytes(chunk.record_view(2)) == b"cccccc"
         assert chunk.global_index(2) == 2
 
-    def test_explicit_indices_override_base(self):
-        chunk = _chunk([b"aa", b"bb"])
-        chunk.indices = array("Q", [7, 42])
-        assert chunk.global_index(0) == 7
-        assert chunk.global_index(1) == 42
-
     def test_base_index_offsets_numbering(self):
         chunk = _chunk([b"aa", b"bb"], base_index=100)
         assert [i for i, _, _ in chunk.iter_triples()] == [100, 101]

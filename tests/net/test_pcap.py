@@ -8,7 +8,6 @@ from repro.net.pcap import (
     PcapError,
     PcapWarning,
     iter_pcap,
-    iter_pcap_chunks,
     read_pcap,
     write_pcap,
 )
@@ -164,31 +163,3 @@ class TestIterPcap:
         path.write_bytes(b"\x00" * 24)
         with pytest.raises(PcapError):
             list(iter_pcap(path))
-
-
-class TestIterPcapChunks:
-    @pytest.mark.parametrize("chunk_records", [1, 2, 3, 100])
-    def test_chunks_round_trip(self, small_trace, tmp_path, chunk_records):
-        path = tmp_path / "t.pcap"
-        write_pcap(small_trace, path)
-        loaded = read_pcap(path, link_name="test")
-        chunks = list(iter_pcap_chunks(path, chunk_records=chunk_records,
-                                       link_name="test"))
-        assert all(len(c) <= chunk_records for c in chunks)
-        assert all(len(c) == chunk_records for c in chunks[:-1])
-        rebuilt = [record for chunk in chunks for record in chunk]
-        assert rebuilt == loaded.records
-        for chunk in chunks:
-            assert chunk.snaplen == loaded.snaplen
-            assert chunk.link_name == "test"
-
-    def test_chunks_empty_file(self, tmp_path):
-        path = tmp_path / "empty.pcap"
-        write_pcap(Trace(), path)
-        assert list(iter_pcap_chunks(path)) == []
-
-    def test_rejects_bad_chunk_size(self, small_trace, tmp_path):
-        path = tmp_path / "t.pcap"
-        write_pcap(small_trace, path)
-        with pytest.raises(PcapError):
-            list(iter_pcap_chunks(path, chunk_records=0))

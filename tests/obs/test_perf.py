@@ -26,7 +26,6 @@ from repro.obs.perf import (
     validate_bench,
     write_bench,
 )
-from repro.parallel.engine import ParallelLoopDetector
 from repro.traffic.synthetic import SyntheticTraceBuilder
 
 
@@ -56,13 +55,13 @@ class TestPipelineProfile:
 
     def test_nested_stages_record_parent(self):
         profile = make_profile()
-        with profile.stage("parallel.detect"):
+        with profile.stage("detect.replicas"):
             with profile.stage("step1.kernel.vectorized"):
                 pass
         stages = {s["name"]: s for s in profile.snapshot()["stages"]}
-        assert stages["parallel.detect"]["parent"] is None
+        assert stages["detect.replicas"]["parent"] is None
         assert (stages["step1.kernel.vectorized"]["parent"]
-                == "parallel.detect")
+                == "detect.replicas")
 
     def test_nesting_is_per_thread(self):
         profile = PipelineProfile()
@@ -110,9 +109,8 @@ class TestPipelineProfile:
         assert gauges['perf_queue_depth{queue="source.prefetch"}'] == 1
 
     def test_attach_registry_after_the_fact(self):
-        """The parallel engine creates its profile before
-        register_metrics; attaching the registry later must flow new
-        spans into histograms."""
+        """A profile created before register_metrics runs must flow
+        new spans into histograms once a registry is attached."""
         profile = make_profile()
         with profile.stage("a"):
             pass
@@ -162,13 +160,21 @@ class TestDetectorStages:
         assert stages["detect.index"]["count"] == 1
         assert stages["detect.index"]["parent"] is None
 
-    def test_parallel_columnar_profiles_the_index(self):
+    def test_index_nests_under_the_enclosing_detect_stage(self):
+        # A caller that times the whole detection (a batch worker, a
+        # benchmark) sees the index build as one of the detector's own
+        # stages inside its span, beside step 1 — not inside it.
         profile = PipelineProfile()
-        ParallelLoopDetector(shards=2, profile=profile).detect_columnar(
-            self._ctrace())
+        with profile.stage("detect"):
+            LoopDetector(profile=profile).detect_columnar(self._ctrace())
         stages = self._stages(profile)
         assert stages["detect.index"]["count"] == 1
-        assert stages["detect.index"]["parent"] == "parallel.validate_merge"
+        for name in ("detect.replicas", "detect.index", "detect.validate",
+                     "detect.merge"):
+            assert stages[name]["parent"] == "detect", name
+        (kernel,) = [stage for name, stage in stages.items()
+                     if name.startswith("step1.kernel.")]
+        assert kernel["parent"] == "detect.replicas"
 
     def test_no_index_stage_without_checks(self):
         profile = PipelineProfile()
